@@ -471,14 +471,12 @@ func BenchmarkEngineRound1k(b *testing.B) {
 }
 
 // BenchmarkEngineRound100k measures one warm engine round over a
-// 100,000-agent, 3-archetype population on the sequential pipeline vs the
-// sharded pipeline (Config.Shards = 8). Both run a persistent engine with
-// the design cache and respond memo warmed. The sequential warm round
-// still walks every agent through the memo in design and respond; the
-// sharded warm round validates each shard's plan in O(distinct
-// fingerprints) and skips the respond stage outright on retained
-// outcomes, so only settle remains O(n) — the speedup is algorithmic and
-// does not depend on spare cores. Ledgers are byte-identical (pinned by
+// 100,000-agent, 3-archetype population on one shard (the default every
+// Config.Shards <= 1 builds) and on eight. Both run a persistent engine
+// with the design cache and respond memo warmed. A warm round validates
+// each shard's plan in O(distinct fingerprints) and skips the respond
+// stage outright on retained outcomes, so only settle remains O(n).
+// Ledgers are byte-identical across shard counts (pinned by
 // TestShardedLedgerIdentical in internal/engine).
 //
 // Two drift variants bracket the mutation path: sharded-rebuild bumps
@@ -511,8 +509,8 @@ func BenchmarkEngineRound100k(b *testing.B) {
 		return eng
 	}
 
-	b.Run("sequential-warm", func(b *testing.B) {
-		eng := warmEngine(b, 0)
+	b.Run("shards1-warm", func(b *testing.B) {
+		eng := warmEngine(b, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -168,7 +168,7 @@ func TestRunNoMemoIdenticalReports(t *testing.T) {
 	if err := run([]string{"-run", "fig8c", "-seed", "7"}, &with); err != nil {
 		t.Fatalf("memo run: %v", err)
 	}
-	if err := run([]string{"-run", "fig8c", "-seed", "7", "-nomemo", "-respond-parallel", "2"}, &without); err != nil {
+	if err := run([]string{"-run", "fig8c", "-seed", "7", "-nomemo"}, &without); err != nil {
 		t.Fatalf("nomemo run: %v", err)
 	}
 	if with.String() != without.String() {
@@ -195,7 +195,7 @@ func TestRunShardStats(t *testing.T) {
 		t.Fatalf("plain run: %v", err)
 	}
 	// Strip the stats block: every remaining line must match the
-	// sequential run's report exactly.
+	// default (one-shard) run's report exactly.
 	var kept []string
 	for _, line := range strings.Split(out, "\n") {
 		if strings.Contains(line, "shard") || strings.HasSuffix(line, "fig8c:") {
@@ -204,19 +204,23 @@ func TestRunShardStats(t *testing.T) {
 		kept = append(kept, line)
 	}
 	if strings.Join(kept, "\n") != plain.String() {
-		t.Errorf("sharded report differs from sequential:\n--- sharded ---\n%s\n--- plain ---\n%s",
+		t.Errorf("2-shard report differs from the default:\n--- sharded ---\n%s\n--- plain ---\n%s",
 			strings.Join(kept, "\n"), plain.String())
 	}
 }
 
-func TestRunShardStatsSequential(t *testing.T) {
-	// Without -shards the printer reports the sequential pipeline rather
-	// than silence.
+func TestRunShardStatsDefaultShards(t *testing.T) {
+	// Without -shards the engine runs one shard, and the printer reports
+	// its stage timings like any other shard count.
 	var buf bytes.Buffer
 	if err := run([]string{"-run", "fig8c", "-seed", "7", "-shardstats"}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(buf.String(), "sequential pipeline (no shard metrics)") {
-		t.Errorf("-shardstats without -shards missing sequential note:\n%s", buf.String())
+	out := buf.String()
+	if !strings.Contains(out, "shards: 1\n") {
+		t.Errorf("-shardstats without -shards missing the one-shard count:\n%s", out)
+	}
+	if !strings.Contains(out, "shard design:") || !strings.Contains(out, "shard respond:") {
+		t.Errorf("-shardstats without -shards missing stage lines:\n%s", out)
 	}
 }

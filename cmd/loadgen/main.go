@@ -66,9 +66,23 @@ import (
 	"sync"
 	"time"
 
+	"dyncontract/internal/experiments"
 	"dyncontract/internal/server"
 	"dyncontract/internal/spans"
 )
+
+// inlinePsi is ψ(y) = −0.25y² + 2y, the effort curve of the inline
+// session's agents (working range M·δ = 2). On inline sessions the probe
+// and joiner specs reuse it, so they share the inline agents' design
+// fingerprints.
+var inlinePsi = server.PsiSpec{R2: -0.25, R1: 2}
+
+// scalePsi is the probe and joiner ψ on -scale sessions: ψ(y) = 2y −
+// y²/(2Y) with Y = experiments.EffortScaleTarget, the upper bound the
+// synthetic pipeline clips every session's working range to. ψ′(y) =
+// 2 − y/Y stays ≥ 1 on [0, Y], so the spec is valid on every scale
+// partition — inlinePsi, whose apex is 4, is not on a range ending at 5.
+var scalePsi = server.PsiSpec{R2: -0.5 / experiments.EffortScaleTarget, R1: 2}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -126,6 +140,10 @@ func run(args []string, out io.Writer) error {
 	jc, err := loadJournalChecker(*jcheck)
 	if err != nil {
 		return err
+	}
+	psi := inlinePsi
+	if *scale != "" {
+		psi = scalePsi
 	}
 	var sessID string
 	if jc != nil && jc.Session != "" {
@@ -260,16 +278,16 @@ func run(args []string, out io.Writer) error {
 					}
 					res = append(res, r)
 				} else if *joinEvery > 0 && i%*joinEvery == 0 {
-					// Join a fresh agent; its honest-archetype spec shares
-					// the inline population's psi so the contract cache can
-					// serve it by fingerprint.
+					// Join a fresh agent; on inline sessions its
+					// honest-archetype spec shares the population's psi so
+					// the contract cache can serve it by fingerprint.
 					id := fmt.Sprintf("lg-%d-%d", c, joinSeq)
 					joinSeq++
 					r := doJSON(client, "join", *addr+"/v1/sessions/"+sessID+"/drift", server.DriftRequest{
 						Add: []server.AgentSpec{{
 							ID:    id,
 							Class: "honest",
-							Psi:   server.PsiSpec{R2: -0.25, R1: 2},
+							Psi:   psi,
 							Beta:  1, Weight: 1,
 						}},
 					}, reqID)
@@ -308,7 +326,7 @@ func run(args []string, out io.Writer) error {
 					q := server.DesignQueryRequest{Agent: &server.AgentSpec{
 						ID:    "probe",
 						Class: "honest",
-						Psi:   server.PsiSpec{R2: -0.25, R1: 2},
+						Psi:   psi,
 						Beta:  1, Weight: w,
 					}}
 					res = append(res, doJSON(client, "design", *addr+"/v1/sessions/"+sessID+"/design", q, reqID))
@@ -363,7 +381,7 @@ func createSession(client *http.Client, addr, scale string, seed int64, perClass
 	if scale != "" {
 		req = server.CreateSessionRequest{Scale: scale, Seed: seed, PerClass: perClass}
 	} else {
-		psi := server.PsiSpec{R2: -0.25, R1: 2}
+		psi := inlinePsi
 		req = server.CreateSessionRequest{
 			Agents: []server.AgentSpec{
 				{ID: "h1", Class: "honest", Psi: psi, Beta: 1, Weight: 1},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -50,6 +51,24 @@ func TestDriftMix(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "drifts:      0 ok") {
 		t.Errorf("no drift request succeeded:\n%s", out.String())
+	}
+}
+
+// TestPaperScaleStrict drives designs, joins and leaves against a
+// scale=paper session: the probe and joiner specs must be valid on the
+// session's partition, so a strict run sees zero errors.
+func TestPaperScaleStrict(t *testing.T) {
+	url := startServer(t)
+	var out bytes.Buffer
+	err := run([]string{"-addr", url, "-scale", "paper", "-per-class", "10", "-clients", "2", "-requests", "12",
+		"-round-every", "5", "-join-every", "3", "-leave-every", "3", "-strict"}, &out)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	for _, kind := range []string{"designs", "joins", "leaves"} {
+		if !regexp.MustCompile(kind + `:\s+[1-9]\d* ok`).MatchString(out.String()) {
+			t.Errorf("no %s request succeeded:\n%s", kind, out.String())
+		}
 	}
 }
 

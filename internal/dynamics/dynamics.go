@@ -136,6 +136,10 @@ func Run(ctx context.Context, pop *platform.Population, pol platform.Policy, tra
 				pop.Weights[a.ID] = w
 				pop.MaliceProb[a.ID] = tracker.MaliceProb(a.ID)
 			}
+			// The refresh rewrote every agent's beliefs in place, outside a
+			// Drift hook: declare it, or the engine keeps pricing the old
+			// beliefs through its cached shard views.
+			pop.Bump()
 			res.WeightDeltas = append(res.WeightDeltas, delta)
 			res.Rounds = r + 1
 			if delta < cfg.Tol {

@@ -77,10 +77,10 @@ func scopedDrift(tb testing.TB, declare func(pop *engine.Population, ids ...stri
 
 // TestSparseDriftLedgerIdentical is the drift-scope determinism pin: the
 // same mutation schedule, declared sparsely (Population.Touch) and fully
-// (Population.Bump), produces byte-identical ledgers across the
-// sequential and sharded engines, with and without the respond memo —
-// all equal to the sequential full-rebuild reference. Sparse scopes are
-// an acceleration, never an observable behaviour change.
+// (Population.Bump), produces byte-identical ledgers across shard
+// counts, with and without the respond memo — all equal to the test-side
+// reference loop, which re-reads the population every round. Sparse
+// scopes are an acceleration, never an observable behaviour change.
 func TestSparseDriftLedgerIdentical(t *testing.T) {
 	ctx := context.Background()
 	const rounds = 6
@@ -110,24 +110,20 @@ func TestSparseDriftLedgerIdentical(t *testing.T) {
 		return ledger
 	}
 
-	// Reference: sequential, no cache or memo, full Bump declarations.
-	ref, err := engine.RunLedger(ctx, archetypePopulation(t, 30), engine.Config{
+	ref := referenceLedger(t, archetypePopulation(t, 30), engine.Config{
 		Policy: &designPolicy{},
 		Rounds: rounds,
-		Drift:  scopedDrift(t, func(pop *engine.Population, _ ...string) { pop.Bump() }),
+		Drift:  scopedDrift(t, func(*engine.Population, ...string) {}),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(ref) != rounds {
 		t.Fatalf("reference ledger has %d rounds, want %d", len(ref), rounds)
 	}
-	for _, shards := range []int{0, 2, 8} {
+	for _, shards := range []int{1, 2, 8, 64} {
 		for _, memo := range []bool{true, false} {
 			for _, sparse := range []bool{true, false} {
 				name := fmt.Sprintf("shards=%d/memo=%v/sparse=%v", shards, memo, sparse)
 				if got := run(shards, memo, sparse); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s: ledger differs from full-rebuild reference", name)
+					t.Errorf("%s: ledger differs from the reference loop", name)
 				}
 			}
 		}
@@ -375,10 +371,9 @@ func declaredChurnDrift(tb testing.TB, structural bool) func(int, *engine.Popula
 // TestStructuralDriftLedgerIdentical is the structural-scope determinism
 // pin: the same join/leave/mixed schedule, declared structurally
 // (TouchJoin/TouchLeave/Touch) and fully (Bump), produces byte-identical
-// ledgers across the sequential and sharded engines, with and without the
-// respond memo — all equal to the sequential full-rebuild reference.
-// Declared structural scopes are an acceleration, never an observable
-// behaviour change.
+// ledgers across shard counts, with and without the respond memo — all
+// equal to the test-side reference loop. Declared structural scopes are
+// an acceleration, never an observable behaviour change.
 func TestStructuralDriftLedgerIdentical(t *testing.T) {
 	ctx := context.Background()
 	const rounds = 6
@@ -401,24 +396,20 @@ func TestStructuralDriftLedgerIdentical(t *testing.T) {
 		return ledger
 	}
 
-	// Reference: sequential, no cache or memo, full Bump declarations.
-	ref, err := engine.RunLedger(ctx, archetypePopulation(t, 30), engine.Config{
+	ref := referenceLedger(t, archetypePopulation(t, 30), engine.Config{
 		Policy: &designPolicy{},
 		Rounds: rounds,
 		Drift:  declaredChurnDrift(t, false),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(ref) != rounds {
 		t.Fatalf("reference ledger has %d rounds, want %d", len(ref), rounds)
 	}
-	for _, shards := range []int{0, 2, 8} {
+	for _, shards := range []int{1, 2, 8, 64} {
 		for _, memo := range []bool{true, false} {
 			for _, structural := range []bool{true, false} {
 				name := fmt.Sprintf("shards=%d/memo=%v/structural=%v", shards, memo, structural)
 				if got := run(shards, memo, structural); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s: ledger differs from full-rebuild reference", name)
+					t.Errorf("%s: ledger differs from the reference loop", name)
 				}
 			}
 		}
@@ -471,8 +462,8 @@ func TestStructuralDriftCounters(t *testing.T) {
 // below the tombstone threshold keep the fragmented mapping (slots
 // stable, no compaction), crossing it triggers exactly one batched
 // renumbering, and rounds before, across, and after the compaction stay
-// byte-identical to the full-rebuild reference — slot bookkeeping never
-// shows through the ledger.
+// byte-identical to the reference loop — slot bookkeeping never shows
+// through the ledger.
 func TestStructuralDriftCompaction(t *testing.T) {
 	ctx := context.Background()
 	const (
@@ -541,14 +532,11 @@ func TestStructuralDriftCompaction(t *testing.T) {
 		}
 	}
 
-	ref, err := engine.RunLedger(ctx, archetypePopulation(t, n), engine.Config{
+	ref := referenceLedger(t, archetypePopulation(t, n), engine.Config{
 		Policy: &designPolicy{},
 		Rounds: rounds,
 		Drift:  schedule(false),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	reg := telemetry.NewRegistry()
 	led := &engine.Ledger{}
@@ -578,7 +566,7 @@ func TestStructuralDriftCompaction(t *testing.T) {
 			t.Errorf("round %d: compactions = %d, want %d", r, compactions, want)
 		}
 		if r < len(ref) && !reflect.DeepEqual(led.Rounds[r], ref[r]) {
-			t.Errorf("round %d: ledger differs from full-rebuild reference", r)
+			t.Errorf("round %d: ledger differs from the reference loop", r)
 		}
 	}
 	s := reg.Snapshot()

@@ -74,9 +74,9 @@ type Population struct {
 // scope cannot express — most notably replacing an agent object under an
 // existing ID, which Touch cannot distinguish from an in-place mutation.
 // Mutating weights, malice probabilities, or agent parameters in place
-// never needs a Bump for a sequential engine — it reads those afresh
-// every round, and the design cache and respond memo key on them
-// directly; sharded engines need a Bump (or a Touch) to observe them.
+// outside a Drift hook likewise needs a Bump (or a Touch): the engine
+// reads them through its cached shard views, so an undeclared mutation
+// stays invisible to it.
 func (p *Population) Bump() {
 	p.touchedAll = true
 	p.scopePending = true
@@ -202,8 +202,7 @@ func (p *Population) Generation() uint64 { return p.generation }
 // weight for every agent, malice probabilities within [0, 1], and no
 // orphan Weights/MaliceProb entries whose IDs match no agent (orphans are
 // almost always a drift hook that removed an agent but not its map
-// entries — silent on the sequential engine, but a stale-view hazard for
-// anything holding indexed views).
+// entries — a stale-view hazard for anything holding indexed views).
 func (p *Population) Validate() error {
 	if len(p.Agents) == 0 {
 		return fmt.Errorf("no agents: %w", ErrBadPopulation)

@@ -62,10 +62,10 @@ func TestRespondMemoDedup(t *testing.T) {
 	}
 }
 
-// TestRespondMemoLedgerIdentical pins the memo as a pure optimization: the
-// memoized and parallel routes must reproduce the sequential reference
-// ledger exactly — same values, same order — including under weight drift
-// that mints fresh fingerprints mid-run.
+// TestRespondMemoLedgerIdentical pins the memo as a pure optimization:
+// with and without it, on every shard count, the engine must reproduce
+// the reference loop's ledger exactly — same values, same order —
+// including under weight drift that mints fresh fingerprints mid-run.
 func TestRespondMemoLedgerIdentical(t *testing.T) {
 	ctx := context.Background()
 	drift := func(round int, pop *engine.Population) {
@@ -76,26 +76,24 @@ func TestRespondMemoLedgerIdentical(t *testing.T) {
 			pop.Weights[a.ID] *= 1.05
 		}
 	}
-	run := func(mutate func(*engine.Config)) []engine.Round {
-		t.Helper()
-		cfg := engine.Config{Policy: &designPolicy{}, Rounds: 4, Drift: drift, Cache: engine.NewCache()}
-		mutate(&cfg)
-		ledger, err := engine.RunLedger(ctx, archetypePopulation(t, 45), cfg)
-		if err != nil {
-			t.Fatal(err)
+	config := func(shards int, memo bool) engine.Config {
+		cfg := engine.Config{Policy: &designPolicy{}, Rounds: 4, Drift: drift, Cache: engine.NewCache(), Shards: shards}
+		if memo {
+			cfg.Memo = engine.NewRespondMemo()
 		}
-		return ledger
+		return cfg
 	}
 
-	want := run(func(cfg *engine.Config) {}) // sequential reference
-	variants := map[string]func(*engine.Config){
-		"memo":          func(cfg *engine.Config) { cfg.Memo = engine.NewRespondMemo() },
-		"memo+parallel": func(cfg *engine.Config) { cfg.Memo = engine.NewRespondMemo(); cfg.ParallelRespond = 4 },
-		"parallel-only": func(cfg *engine.Config) { cfg.ParallelRespond = 4 },
-	}
-	for name, mutate := range variants {
-		if got := run(mutate); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s ledger diverges from sequential reference", name)
+	want := referenceLedger(t, archetypePopulation(t, 45), config(0, false))
+	for _, shards := range []int{1, 2, 8, 64} {
+		for _, memo := range []bool{true, false} {
+			got, err := engine.RunLedger(ctx, archetypePopulation(t, 45), config(shards, memo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d/memo=%v: ledger diverges from the reference loop", shards, memo)
+			}
 		}
 	}
 }
@@ -178,21 +176,21 @@ func TestRespondMemoBypassedByResponder(t *testing.T) {
 // TestResponderClampedEfforts pins the clamp interacting with the respond
 // routes: out-of-range strategy efforts (negative, NaN, beyond the
 // feasible range) are clamped to [0, min(mδ, apex of ψ)] identically on
-// the sequential and parallel hook paths.
+// one shard and on several.
 func TestResponderClampedEfforts(t *testing.T) {
 	pop := archetypePopulation(t, 9)
 	yMax := pop.Part.YMax()
 	efforts := []float64{-5, math.NaN(), 1e9, 7}
-	for name, par := range map[string]int{"sequential": 0, "parallel": 4} {
+	for name, shards := range map[string]int{"sequential": 1, "sharded": 4} {
 		t.Run(name, func(t *testing.T) {
 			responder := func(r int, a *worker.Agent, c *contract.PiecewiseLinear, part effort.Partition) (float64, error) {
 				return efforts[r], nil
 			}
 			got, err := engine.RunLedger(context.Background(), archetypePopulation(t, 9), engine.Config{
-				Policy:          &designPolicy{},
-				Rounds:          len(efforts),
-				Responder:       responder,
-				ParallelRespond: par,
+				Policy:    &designPolicy{},
+				Rounds:    len(efforts),
+				Responder: responder,
+				Shards:    shards,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -245,7 +243,7 @@ func TestLedgerCopiesReusedOutcomes(t *testing.T) {
 }
 
 // TestRespondMemoConcurrent hammers one shared memo from concurrent
-// engines (each with parallel fan-out) plus raw Get/Put/Stats/Invalidate
+// engines (each fanning its shards out) plus raw Get/Put/Stats/Invalidate
 // callers; run under -race (make check) it pins the memo's thread safety.
 func TestRespondMemoConcurrent(t *testing.T) {
 	memo := engine.NewRespondMemo()
@@ -263,12 +261,12 @@ func TestRespondMemoConcurrent(t *testing.T) {
 				}
 			}
 			_, err := engine.RunLedger(context.Background(), archetypePopulation(t, 30), engine.Config{
-				Policy:          &designPolicy{},
-				Rounds:          5,
-				Drift:           drift,
-				Cache:           engine.NewCache(),
-				Memo:            memo,
-				ParallelRespond: 4,
+				Policy: &designPolicy{},
+				Rounds: 5,
+				Drift:  drift,
+				Cache:  engine.NewCache(),
+				Memo:   memo,
+				Shards: 4,
 			})
 			if err != nil {
 				t.Error(err)
@@ -351,34 +349,5 @@ func TestRespondMemoExportTo(t *testing.T) {
 	}
 	if got := int(s.Gauges[engine.MetricRespondEntries]); got != stats.Entries {
 		t.Errorf("registry entries = %d, Stats().Entries = %d", got, stats.Entries)
-	}
-}
-
-// TestWarmRoundZeroAllocs pins the zero-alloc warm-round guarantee: a
-// cache+memo engine with no metrics and no observers, once warmed,
-// allocates nothing per Run — the sorted view, the outcomes buffer, the
-// contracts map, and the respond scratch are all reused.
-func TestWarmRoundZeroAllocs(t *testing.T) {
-	pop := archetypePopulation(t, 120)
-	ctx := context.Background()
-	eng, err := engine.New(pop, engine.Config{
-		Policy: &designPolicy{},
-		Rounds: 1,
-		Cache:  engine.NewCache(),
-		Memo:   engine.NewRespondMemo(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(ctx); err != nil { // warm: design + respond once
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm round allocates %v objects per Run, want 0", allocs)
 	}
 }

@@ -12,14 +12,14 @@ import (
 	"dyncontract/internal/worker"
 )
 
-// This file is the sharded round pipeline. The paper's decomposition
+// This file is the engine's round pipeline. The paper's decomposition
 // result (§IV-B) makes both contract design and best responses separable
-// per worker/community, so the engine can partition the population into
-// shards and run the design and respond stages per shard on a bounded
-// pool, merging results back in global agent-ID order — the ledger stays
-// byte-identical to the sequential engine (settlement remains one
-// sequential pass: float addition is not associative, so per-shard
-// partial sums would drift in the last ulp).
+// per worker/community, so the engine partitions the population into
+// shards and runs the design and respond stages per shard on a bounded
+// pool, merging results back in global agent-ID order — the ledger is
+// byte-identical for every shard count (settlement remains one pass in
+// ID order: float addition is not associative, so per-shard partial sums
+// would drift in the last ulp).
 //
 // Shard assignment hashes agent IDs (FNV-1a), so it is stable across
 // rounds and across processes: the same population shards the same way
@@ -134,9 +134,9 @@ func (p *Population) Shards(n int) []Shard {
 // The engine calls ShardContracts once per shard per round; calls for
 // different shards may run concurrently, so implementations must confine
 // per-shard state to the shard (ShardDesigner does) or lock shared state.
-// Policies that implement only Policy still work under Config.Shards —
-// the engine designs through the whole-population Contracts call and runs
-// just the respond stage per shard.
+// Policies that implement only Policy still work — the engine designs
+// through the whole-population Contracts call and runs just the respond
+// stage per shard.
 type ShardPolicy interface {
 	Policy
 	ShardContracts(ctx context.Context, pop *Population, sh *Shard, dst []*contract.PiecewiseLinear) (changed bool, err error)
@@ -255,7 +255,7 @@ func (e *Engine) ensureShards(st *roundState, agents []*worker.Agent) bool {
 		counts = nil
 		e.fpCounts = nil
 	}
-	n := e.cfg.Shards
+	n := max(e.cfg.Shards, 1)
 	if n > len(agents) {
 		n = len(agents)
 	}
@@ -713,11 +713,11 @@ func (e *Engine) maybeCompact(st *roundState) {
 	}
 }
 
-// designSharded is the design stage under Config.Shards > 0. With a
-// ShardPolicy each shard designs independently (on the pool when the
-// views were just rebuilt — warm validations are too cheap to fan out);
-// otherwise the whole-population Contracts call runs once and only the
-// respond stage is sharded.
+// designSharded is the design stage's body. With a ShardPolicy each
+// shard designs independently (on the pool when the views were just
+// rebuilt — warm validations are too cheap to fan out); otherwise the
+// whole-population Contracts call runs once and only the respond stage
+// is sharded.
 func (e *Engine) designSharded(ctx context.Context, st *roundState) error {
 	rebuilt := e.ensureShards(st, st.agents)
 	if e.shardPol == nil {
@@ -729,7 +729,7 @@ func (e *Engine) designSharded(ctx context.Context, st *roundState) error {
 		return nil
 	}
 	if rebuilt && len(e.shards) > 1 {
-		if err := e.fanOut(ctx, st.r, len(e.shards), 0, func(i int) error {
+		if err := e.fanOut(ctx, st.r, len(e.shards), func(i int) error {
 			return e.designShard(ctx, st, i)
 		}); err != nil {
 			return err
@@ -857,21 +857,21 @@ func (e *Engine) mergeContracts(st *roundState, rebuilt bool) map[string]*contra
 	return e.merged
 }
 
-// respondSharded is the respond stage under Config.Shards > 0. Dirty
-// shards (new views, changed contracts, replaced outcome buffer) respond
-// on the pool; a fully warm round — every shard's retained outcomes
-// already exact — skips the stage. Outcomes land in each agent's global
-// ID-order slot, so the merge order is exactly the sequential engine's.
+// respondSharded is the respond stage's body. Dirty shards (new views,
+// changed contracts, replaced outcome buffer) respond on the pool; a
+// fully warm round — every shard's retained outcomes already exact —
+// skips the stage. Outcomes land in each agent's global ID-order slot, so
+// the merge order is the same for every shard count.
 func (e *Engine) respondSharded(ctx context.Context, st *roundState) (float64, error) {
 	if e.cfg.Responder != nil {
-		return e.respondShardedHook(ctx, st)
+		return e.respondShardedHook(st)
 	}
 	fromMap := e.shardPol == nil
 	dirty := 0
 	for i := range e.shards {
 		if fromMap {
 			// Map-route contracts carry no change signal: respond every
-			// round, exactly like the sequential engine.
+			// round.
 			e.shards[i].outsOK = false
 		}
 		if !e.shards[i].outsOK || len(e.shards[i].dirty) > 0 {
@@ -882,7 +882,7 @@ func (e *Engine) respondSharded(ctx context.Context, st *roundState) (float64, e
 		return e.sumShardUtility(), nil
 	}
 	if dirty > 1 && len(e.shards) > 1 {
-		if err := e.fanOut(ctx, st.r, len(e.shards), 0, func(i int) error {
+		if err := e.fanOut(ctx, st.r, len(e.shards), func(i int) error {
 			return e.respondShard(st, i)
 		}); err != nil {
 			return 0, err
@@ -1000,10 +1000,13 @@ func (e *Engine) respondShardPatch(sr *shardRun, st *roundState) error {
 	return nil
 }
 
-// respondShardSolve is the per-shard respond loop: the memoized dedup of
-// respondMemoized, reading the shard's indexed views (no string-map
-// lookups) and writing outcomes to pre-assigned global slots. Pending
-// misses solve inline — shard-level parallelism comes from the pool.
+// respondShardSolve is the per-shard respond loop: each distinct
+// (fingerprint, contract) key is resolved once — through the memo segment
+// when there is one — reading the shard's indexed views (no string-map
+// lookups) and writing outcomes to pre-assigned global slots. Agents
+// arrive in ID order, so archetypes are contiguous and a compare against
+// the previous key skips the map for whole runs. Pending misses solve
+// inline — shard-level parallelism comes from the pool.
 func (e *Engine) respondShardSolve(sr *shardRun, st *roundState) error {
 	s := &sr.scratch
 	if s.keys == nil {
@@ -1091,9 +1094,9 @@ func (e *Engine) respondShardSolve(sr *shardRun, st *roundState) error {
 }
 
 // sumShardUtility folds the per-shard worker-utility sums in shard order.
-// (The association differs from the sequential engine's global-order sum,
-// so the worker-utility gauge may differ in the last ulp; the ledger
-// itself settles in one sequential global pass and stays byte-identical.)
+// (The association differs between shard counts, so the worker-utility
+// gauge may differ in the last ulp; the ledger itself settles in one
+// global pass and stays byte-identical.)
 func (e *Engine) sumShardUtility() float64 {
 	var wu float64
 	for i := range e.shards {
@@ -1102,22 +1105,13 @@ func (e *Engine) sumShardUtility() float64 {
 	return wu
 }
 
-// respondShardedHook runs a custom Responder per shard — hooks are
-// round-dependent, so there is no warm skip. Fanning out remains opt-in
-// through ParallelRespond (the Responder must then be concurrency-safe),
-// mirroring the sequential engine.
-func (e *Engine) respondShardedHook(ctx context.Context, st *roundState) (float64, error) {
-	if e.cfg.ParallelRespond > 0 && len(e.shards) > 1 {
-		if err := e.fanOut(ctx, st.r, len(e.shards), e.cfg.ParallelRespond, func(i int) error {
-			return e.respondShardHook(st, i)
-		}); err != nil {
+// respondShardedHook runs a custom Responder shard by shard — hooks are
+// round-dependent, so there is no warm skip, and they run sequentially,
+// so a Responder need not be safe for concurrent calls.
+func (e *Engine) respondShardedHook(st *roundState) (float64, error) {
+	for i := range e.shards {
+		if err := e.respondShardHook(st, i); err != nil {
 			return 0, err
-		}
-	} else {
-		for i := range e.shards {
-			if err := e.respondShardHook(st, i); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return e.sumShardUtility(), nil

@@ -170,19 +170,12 @@ func structuralDrift(tb testing.TB) func(int, *engine.Population) {
 // TestShardedLedgerIdentical is the tentpole determinism pin: for every
 // shard count, for both the ShardPolicy route and the plain-policy
 // fallback, with and without the respond memo, the ledger is
-// byte-identical to the sequential engine — under a drift that rescales
-// weights, adds, removes, and reorders agents.
+// byte-identical to the test-side reference loop — under a drift that
+// rescales weights, adds, removes, and reorders agents.
 func TestShardedLedgerIdentical(t *testing.T) {
 	ctx := context.Background()
 	const rounds = 6
-	run := func(shards int, shardPolicy, memo bool) []engine.Round {
-		t.Helper()
-		var pol engine.Policy
-		if shardPolicy {
-			pol = &shardDesignPolicy{}
-		} else {
-			pol = &designPolicy{}
-		}
+	config := func(pol engine.Policy, shards int, memo bool) engine.Config {
 		cfg := engine.Config{
 			Policy: pol,
 			Rounds: rounds,
@@ -193,23 +186,27 @@ func TestShardedLedgerIdentical(t *testing.T) {
 		if memo {
 			cfg.Memo = engine.NewRespondMemo()
 		}
-		ledger, err := engine.RunLedger(ctx, archetypePopulation(t, 30), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ledger
+		return cfg
 	}
 
-	ref := run(0, false, false)
+	ref := referenceLedger(t, archetypePopulation(t, 30), config(&designPolicy{}, 0, false))
 	if len(ref) != rounds {
 		t.Fatalf("reference ledger has %d rounds, want %d", len(ref), rounds)
 	}
 	for _, shards := range []int{1, 2, 8, 64} {
 		for _, shardPolicy := range []bool{true, false} {
 			for _, memo := range []bool{true, false} {
+				var pol engine.Policy = &designPolicy{}
+				if shardPolicy {
+					pol = &shardDesignPolicy{}
+				}
 				name := fmt.Sprintf("shards=%d/shardpolicy=%v/memo=%v", shards, shardPolicy, memo)
-				if got := run(shards, shardPolicy, memo); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s: ledger differs from sequential reference", name)
+				got, err := engine.RunLedger(ctx, archetypePopulation(t, 30), config(pol, shards, memo))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s: ledger differs from the reference loop", name)
 				}
 			}
 		}
@@ -240,16 +237,14 @@ func (r *eventRecorder) OnRoundEnd(round engine.Round) error {
 	return nil
 }
 
-// TestShardedObserverEventOrder pins that a sharded engine emits exactly
-// the sequential engine's event stream: same OnContracts coverage, same
-// per-agent OnOutcome order (global ID order, not shard order), same
+// TestShardedObserverEventOrder pins that the engine emits the reference
+// loop's event stream for every shard count: same OnContracts coverage,
+// same per-agent OnOutcome order (global ID order, not shard order), same
 // round ends.
 func TestShardedObserverEventOrder(t *testing.T) {
 	ctx := context.Background()
-	run := func(shards int) []string {
-		t.Helper()
-		rec := &eventRecorder{}
-		cfg := engine.Config{
+	config := func(rec *eventRecorder, shards int) engine.Config {
+		return engine.Config{
 			Policy:    &shardDesignPolicy{},
 			Rounds:    3,
 			Cache:     engine.NewCache(),
@@ -257,15 +252,16 @@ func TestShardedObserverEventOrder(t *testing.T) {
 			Observers: []engine.Observer{rec},
 			Shards:    shards,
 		}
-		if _, err := engine.RunLedger(ctx, archetypePopulation(t, 12), cfg); err != nil {
+	}
+	ref := &eventRecorder{}
+	referenceLedger(t, archetypePopulation(t, 12), config(ref, 0))
+	for _, shards := range []int{1, 3, 8} {
+		rec := &eventRecorder{}
+		if _, err := engine.RunLedger(ctx, archetypePopulation(t, 12), config(rec, shards)); err != nil {
 			t.Fatal(err)
 		}
-		return rec.events
-	}
-	ref := run(0)
-	for _, shards := range []int{1, 3, 8} {
-		if got := run(shards); !reflect.DeepEqual(got, ref) {
-			t.Errorf("shards=%d: event stream differs from sequential", shards)
+		if !reflect.DeepEqual(rec.events, ref.events) {
+			t.Errorf("shards=%d: event stream differs from the reference loop", shards)
 		}
 	}
 }
@@ -273,8 +269,8 @@ func TestShardedObserverEventOrder(t *testing.T) {
 // TestShardedWarmSkipsRespond pins the sharded fast path: once every
 // shard is warm (stable population, cached designs, dense contracts), the
 // respond stage is skipped outright — the memo's counters freeze
-// completely, unlike the sequential engine whose warm rounds still pay
-// one memo hit per distinct key.
+// completely, where a per-round respond would pay one memo hit per
+// distinct key.
 func TestShardedWarmSkipsRespond(t *testing.T) {
 	ctx := context.Background()
 	pop := archetypePopulation(t, 24)
@@ -307,42 +303,54 @@ func TestShardedWarmSkipsRespond(t *testing.T) {
 	}
 }
 
-// TestShardedWarmRoundZeroAllocs extends the zero-alloc warm-round
-// guarantee to the sharded pipeline: a warmed cache+memo sharded engine
+// TestShardedWarmRoundZeroAllocs pins the zero-alloc warm-round
+// guarantee: a warmed cache+memo engine with no metrics and no observers
 // allocates nothing per Run — shard views, plans, segments, outcome
-// buffer, and scratch are all reused, and warm rounds skip respond.
+// buffer, and scratch are all reused. A ShardPolicy's warm rounds skip
+// respond; a plain policy's whole-population Contracts call reuses its
+// map, and its per-round respond reuses the shard scratch.
 func TestShardedWarmRoundZeroAllocs(t *testing.T) {
-	pop := archetypePopulation(t, 120)
-	ctx := context.Background()
-	eng, err := engine.New(pop, engine.Config{
-		Policy: &shardDesignPolicy{},
-		Rounds: 1,
-		Cache:  engine.NewCache(),
-		Memo:   engine.NewRespondMemo(),
-		Shards: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(ctx); err != nil { // warm: shard views + designs + responses
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm sharded round allocates %v objects per Run, want 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		pol    engine.Policy
+		shards int
+	}{
+		{"plain-policy-shards=1", &designPolicy{}, 1},
+		{"shard-policy-shards=1", &shardDesignPolicy{}, 1},
+		{"shard-policy-shards=8", &shardDesignPolicy{}, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			eng, err := engine.New(archetypePopulation(t, 120), engine.Config{
+				Policy: tc.pol,
+				Rounds: 1,
+				Cache:  engine.NewCache(),
+				Memo:   engine.NewRespondMemo(),
+				Shards: tc.shards,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Run(ctx); err != nil { // warm: shard views + designs + responses
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := eng.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm round allocates %v objects per Run, want 0", allocs)
+			}
+		})
 	}
 }
 
-// TestShardedBumpSemantics pins the documented extension of the Bump
-// contract under sharding: with no Drift configured, in-place weight
-// mutations are invisible to a sharded engine (the indexed views are
-// cached) until Population.Bump, and structural additions likewise only
-// appear after a Bump — while the sequential engine picks up in-place
-// weight changes without one.
+// TestShardedBumpSemantics pins the Bump contract: with no Drift
+// configured, in-place weight mutations are invisible to the engine (the
+// indexed shard views are cached) until Population.Bump, for every shard
+// count including the default, and structural additions likewise only
+// appear after a Bump.
 func TestShardedBumpSemantics(t *testing.T) {
 	ctx := context.Background()
 	psi, err := effort.NewQuadratic(-0.02, 2, 1, 40)
@@ -374,47 +382,31 @@ func TestShardedBumpSemantics(t *testing.T) {
 	}
 
 	t.Run("sharded stale until Bump", func(t *testing.T) {
-		pop := archetypePopulation(t, 12)
-		led := &engine.Ledger{}
-		eng := newEng(pop, 4, led)
-		id := pop.Agents[0].ID
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		w0, _ := lastWeight(led, id)
+		for _, shards := range []int{0, 1, 4} {
+			pop := archetypePopulation(t, 12)
+			led := &engine.Ledger{}
+			eng := newEng(pop, shards, led)
+			id := pop.Agents[0].ID
+			if err := eng.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			w0, _ := lastWeight(led, id)
 
-		pop.Weights[id] = w0 * 2 // in place, no Bump: pinned stale
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if w, _ := lastWeight(led, id); w != w0 {
-			t.Errorf("weight visible without Bump: got %v, want stale %v", w, w0)
-		}
+			pop.Weights[id] = w0 * 2 // in place, no Bump: pinned stale
+			if err := eng.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if w, _ := lastWeight(led, id); w != w0 {
+				t.Errorf("shards=%d: weight visible without Bump: got %v, want stale %v", shards, w, w0)
+			}
 
-		pop.Bump()
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if w, _ := lastWeight(led, id); w != w0*2 {
-			t.Errorf("weight after Bump = %v, want %v", w, w0*2)
-		}
-	})
-
-	t.Run("sequential sees in-place weights", func(t *testing.T) {
-		pop := archetypePopulation(t, 12)
-		led := &engine.Ledger{}
-		eng := newEng(pop, 0, led)
-		id := pop.Agents[0].ID
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		w0, _ := lastWeight(led, id)
-		pop.Weights[id] = w0 * 2
-		if err := eng.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if w, _ := lastWeight(led, id); w != w0*2 {
-			t.Errorf("sequential weight = %v, want immediate %v", w, w0*2)
+			pop.Bump()
+			if err := eng.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if w, _ := lastWeight(led, id); w != w0*2 {
+				t.Errorf("shards=%d: weight after Bump = %v, want %v", shards, w, w0*2)
+			}
 		}
 	})
 
@@ -449,33 +441,31 @@ func TestShardedBumpSemantics(t *testing.T) {
 	})
 }
 
-// TestShardedResponderHook checks the custom-Responder route under
-// sharding: same ledger as the sequential engine, with and without the
-// parallel opt-in.
+// TestShardedResponderHook checks the custom-Responder route: the
+// Responder runs shard by shard, and the ledger matches the reference
+// loop for every shard count.
 func TestShardedResponderHook(t *testing.T) {
 	ctx := context.Background()
 	responder := func(round int, a *worker.Agent, c *contract.PiecewiseLinear, part effort.Partition) (float64, error) {
 		return float64(round%3) + 1.5, nil
 	}
-	run := func(shards, parallel int) []engine.Round {
-		t.Helper()
-		ledger, err := engine.RunLedger(ctx, archetypePopulation(t, 18), engine.Config{
-			Policy:          &shardDesignPolicy{},
-			Rounds:          4,
-			Responder:       responder,
-			Cache:           engine.NewCache(),
-			Shards:          shards,
-			ParallelRespond: parallel,
-		})
+	config := func(shards int) engine.Config {
+		return engine.Config{
+			Policy:    &shardDesignPolicy{},
+			Rounds:    4,
+			Responder: responder,
+			Cache:     engine.NewCache(),
+			Shards:    shards,
+		}
+	}
+	ref := referenceLedger(t, archetypePopulation(t, 18), config(0))
+	for _, shards := range []int{1, 2, 8, 64} {
+		got, err := engine.RunLedger(ctx, archetypePopulation(t, 18), config(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ledger
-	}
-	ref := run(0, 0)
-	for _, tc := range []struct{ shards, parallel int }{{2, 0}, {8, 0}, {8, 4}} {
-		if got := run(tc.shards, tc.parallel); !reflect.DeepEqual(got, ref) {
-			t.Errorf("shards=%d parallel=%d: responder ledger differs from sequential", tc.shards, tc.parallel)
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("shards=%d: responder ledger differs from the reference loop", shards)
 		}
 	}
 }
@@ -597,47 +587,50 @@ func TestRespondMemoSegment(t *testing.T) {
 
 // TestShardedStageTimings extends the stage-count pins to the sharded
 // pipeline: the whole-stage histograms still observe once per round, the
-// shard gauge reports the effective count, shard-design observes every
-// shard every round, and shard-respond observes only executed (dirty)
-// shards — the cold round — because warm rounds skip respond.
+// shard gauge reports the effective count (Shards 0 and 1 both build one
+// shard), shard-design observes every shard every round, and
+// shard-respond observes only executed (dirty) shards — the cold round —
+// because warm rounds skip respond.
 func TestShardedStageTimings(t *testing.T) {
 	ctx := context.Background()
-	reg := telemetry.NewRegistry()
-	const rounds, shards = 3, 4
-	eng, err := engine.New(archetypePopulation(t, 16), engine.Config{
-		Policy:  &shardDesignPolicy{},
-		Rounds:  rounds,
-		Cache:   engine.NewCache(),
-		Memo:    engine.NewRespondMemo(),
-		Shards:  shards,
-		Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	for _, name := range []string{
-		engine.MetricStageDesignSeconds,
-		engine.MetricStageRespondSeconds,
-		engine.MetricStageSettleSeconds,
-		engine.MetricStageObserveSeconds,
-		engine.MetricRoundSeconds,
-	} {
-		h, ok := snap.Histograms[name]
-		if !ok || h.Count != rounds {
-			t.Errorf("%s count = %v (present %v), want %d", name, h.Count, ok, rounds)
+	const rounds = 3
+	for _, tc := range []struct{ configured, shards int }{{0, 1}, {1, 1}, {4, 4}} {
+		reg := telemetry.NewRegistry()
+		eng, err := engine.New(archetypePopulation(t, 16), engine.Config{
+			Policy:  &shardDesignPolicy{},
+			Rounds:  rounds,
+			Cache:   engine.NewCache(),
+			Memo:    engine.NewRespondMemo(),
+			Shards:  tc.configured,
+			Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if g := snap.Gauges[engine.MetricShards]; g != shards {
-		t.Errorf("shards gauge = %v, want %d", g, shards)
-	}
-	if h := snap.Histograms[engine.MetricShardDesignSeconds]; h.Count != rounds*shards {
-		t.Errorf("shard design count = %d, want %d", h.Count, rounds*shards)
-	}
-	if h := snap.Histograms[engine.MetricShardRespondSeconds]; h.Count != shards {
-		t.Errorf("shard respond count = %d, want %d (cold round only)", h.Count, shards)
+		if err := eng.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		for _, name := range []string{
+			engine.MetricStageDesignSeconds,
+			engine.MetricStageRespondSeconds,
+			engine.MetricStageSettleSeconds,
+			engine.MetricStageObserveSeconds,
+			engine.MetricRoundSeconds,
+		} {
+			h, ok := snap.Histograms[name]
+			if !ok || h.Count != rounds {
+				t.Errorf("Shards=%d: %s count = %v (present %v), want %d", tc.configured, name, h.Count, ok, rounds)
+			}
+		}
+		if g := snap.Gauges[engine.MetricShards]; g != float64(tc.shards) {
+			t.Errorf("Shards=%d: shards gauge = %v, want %d", tc.configured, g, tc.shards)
+		}
+		if h := snap.Histograms[engine.MetricShardDesignSeconds]; h.Count != uint64(rounds*tc.shards) {
+			t.Errorf("Shards=%d: shard design count = %d, want %d", tc.configured, h.Count, rounds*tc.shards)
+		}
+		if h := snap.Histograms[engine.MetricShardRespondSeconds]; h.Count != uint64(tc.shards) {
+			t.Errorf("Shards=%d: shard respond count = %d, want %d (cold round only)", tc.configured, h.Count, tc.shards)
+		}
 	}
 }

@@ -406,15 +406,9 @@ func FprintHTTPStats(w io.Writer, stats []HTTPRouteStats) {
 	}
 }
 
-// FprintShardStats renders the sharded pipeline's per-shard stage metrics
-// — the `-shardstats` output format. Stats with a zero shard count
-// (sequential run, or telemetry disabled) print a single explanatory
-// line.
+// FprintShardStats renders the round pipeline's per-shard stage metrics
+// — the `-shardstats` output format.
 func FprintShardStats(w io.Writer, s ShardStats) {
-	if s.Shards == 0 {
-		fmt.Fprintf(w, "  shards: sequential pipeline (no shard metrics)\n")
-		return
-	}
 	mean := func(sum float64, n uint64) float64 {
 		if n == 0 {
 			return 0

@@ -257,9 +257,13 @@ func TestShardStatsHelpers(t *testing.T) {
 		t.Fatalf("FprintShardStats = %q, want %q", buf.String(), want2)
 	}
 
+	// Zero stats (telemetry disabled) print the same block with zeros.
 	buf.Reset()
 	FprintShardStats(&buf, ShardStats{})
-	if want3 := "  shards: sequential pipeline (no shard metrics)\n"; buf.String() != want3 {
+	want3 := "  shards: 0\n" +
+		"  shard design:       0 runs, mean 0.000000s\n" +
+		"  shard respond:      0 runs, mean 0.000000s\n"
+	if buf.String() != want3 {
 		t.Fatalf("FprintShardStats(zero) = %q, want %q", buf.String(), want3)
 	}
 }

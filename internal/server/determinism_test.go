@@ -15,7 +15,7 @@ import (
 // TestConcurrentClientsDeterministicLedger is the serving layer's
 // acceptance test: N concurrent clients hammering one session with
 // interleaved round advances and design queries must leave a ledger
-// byte-identical to a bare sequential engine stepped the same number of
+// byte-identical to a bare engine stepped alone the same number of
 // rounds — concurrency changes throughput, never results.
 func TestConcurrentClientsDeterministicLedger(t *testing.T) {
 	e := newTestServer(t, Config{})

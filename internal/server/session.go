@@ -253,6 +253,9 @@ func (s *session) writerLoop() {
 			s.srv.metrics.addSessionQueue(-1)
 			cmd.qspan.End()
 			ctx := cmd.ctx
+			// exec ends before the reply is sent: the handler's root span
+			// ends once the reply arrives, and a child ending after its
+			// root would miss the recorded trace.
 			var exec *spans.Span
 			var waitLabel string
 			if cmd.span != nil {
@@ -272,6 +275,7 @@ func (s *session) writerLoop() {
 				if ok {
 					rep = s.runRound(ctx, cmd.round)
 				}
+				exec.End()
 				cmd.reply <- rep
 				s.afterCommand(ok, rep.err)
 			case cmdDrift:
@@ -280,13 +284,16 @@ func (s *session) writerLoop() {
 				if ok {
 					rep = s.runDrift(cmd.drift)
 				}
+				exec.End()
 				cmd.reply <- rep
 				s.afterCommand(ok, rep.err)
 			case cmdSnapshot:
 				exec.SetAttr("kind", "snapshot")
+				// startSnapshot may reply in-line (a refusal), so the span
+				// ends first; the snapshot's own work is not spanned.
+				exec.End()
 				s.startSnapshot(cmd.reply)
 			}
-			exec.End()
 		}
 	}
 }

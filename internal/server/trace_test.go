@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"dyncontract/internal/spans"
 	"dyncontract/internal/telemetry"
@@ -242,6 +244,70 @@ func TestTracedDesignBatchLink(t *testing.T) {
 	}
 	if attrMap(croot)["batch.size"] != "1" {
 		t.Fatalf("carrier attrs = %v", attrMap(croot))
+	}
+}
+
+// TestExecuteSpanEndsBeforeRoot pins the writer's span ordering on a
+// journaled server with auto-snapshots: session.execute ends before the
+// command's reply is sent, so every completed round and snapshot trace
+// carries its session.execute span under the root, ending no later than
+// the root. (Ending it after the reply let the handler's root complete
+// the trace first, leaving execute out of the trace as an orphan.)
+func TestExecuteSpanEndsBeforeRoot(t *testing.T) {
+	const rounds, snapshots = 30, 3
+	rec := spans.NewRecorder(64, 8)
+	tracer := spans.New(spans.Config{Sample: 1, Seed: 13, Recorder: rec})
+	e := newJournaledServer(t, t.TempDir(), Config{Tracer: tracer, SnapshotEvery: 7})
+	id := e.createSession(t)
+
+	for i := 0; i < rounds; i++ {
+		code, _, raw := e.doTraced(t, "POST", "/v1/sessions/"+id+"/rounds", fmt.Sprintf("exec-order-round-%d", i), &AdvanceRoundRequest{})
+		if code != http.StatusOK {
+			t.Fatalf("round %d: status %d (%s)", i, code, raw)
+		}
+		if i%10 == 9 {
+			// Explicit snapshots take the writer's other reply path; a
+			// 409 (auto-snapshot still committing) is a reply too.
+			code, _, raw := e.doTraced(t, "POST", "/v1/sessions/"+id+"/snapshot", fmt.Sprintf("exec-order-snap-%d", i), nil)
+			if code != http.StatusOK && code != http.StatusConflict {
+				t.Fatalf("snapshot after round %d: status %d (%s)", i, code, raw)
+			}
+		}
+	}
+
+	// Every traced request — create, rounds, snapshots — completes when
+	// its root ends; wait for the last one to land.
+	want := uint64(1 + rounds + snapshots)
+	deadline := time.Now().Add(5 * time.Second)
+	for rec.Completed() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	checked := 0
+	for _, tr := range rec.Recent() {
+		root, ok := tr.Root()
+		if !ok {
+			t.Fatalf("completed trace %s has no root", tr.ID)
+		}
+		if root.Name != "http rounds_advance" && root.Name != "http snapshot" {
+			continue
+		}
+		checked++
+		var exec *spans.SpanData
+		for i, sd := range tr.Spans {
+			if sd.Name == "session.execute" && sd.Parent == root.ID {
+				exec = &tr.Spans[i]
+			}
+		}
+		if exec == nil {
+			t.Errorf("trace %s (%s): no session.execute under the root", tr.ID, root.Name)
+			continue
+		}
+		if exec.End.After(root.End) {
+			t.Errorf("trace %s (%s): session.execute ends %v after the root", tr.ID, root.Name, exec.End.Sub(root.End))
+		}
+	}
+	if checked != rounds+snapshots {
+		t.Fatalf("checked %d round/snapshot traces, want %d", checked, rounds+snapshots)
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Engine benchmark runner (`make bench`): runs the round-loop benchmarks —
 # BenchmarkEngineRound1k (design-dedup and respond-memo regimes),
-# BenchmarkEngineRound100k (sequential vs sharded warm rounds, plus the
+# BenchmarkEngineRound100k (one-shard and eight-shard warm rounds, plus the
 # sharded-rebuild, sparse-drift-1pct, and structural-churn-1pct drift
 # variants pinning the touched-scope and join/leave-splice speedups),
 # BenchmarkTelemetryOverhead (instrumented vs
@@ -17,15 +17,14 @@
 # BENCH_engine.json as one JSON array of
 #   {"name", "iterations", "ns_per_op", "bytes_per_op", "allocs_per_op"}
 # objects, so the acceptance bars (telemetry overhead ≤5%, respond-memo
-# warm-round speedup, sharded-warm ≥4× sequential-warm at 100k agents,
-# sparse-drift-1pct ≤10% of a full sharded rebuild) can be checked from
-# the file.
+# warm-round speedup, sparse-drift-1pct ≤10% of a full sharded rebuild)
+# can be checked from the file.
 #
 # Before overwriting, the fresh run is diffed against the committed
 # BENCH_engine.json: every benchmark's ns/op delta is printed, a >10%
 # regression warns, and a >25% regression on a gated benchmark
 # (dedup-cold — the batched cold design path, optimized and now
-# regression-gated — dedup-warm, respond-memo-warm, sequential-warm,
+# regression-gated — dedup-warm, respond-memo-warm, shards1-warm,
 # sharded-warm, sparse-drift, structural-churn — the in-place join/leave
 # splice — TelemetryOverhead, TraceOverhead/disabled —
 # the last pins that tracing left off costs nothing) fails the run
@@ -90,7 +89,7 @@ if [ -f "$out" ]; then
 		}
 		delta = (ns - base[name]) / base[name] * 100
 		printf "  %-55s %12.0f ns/op  %+7.1f%%\n", name, ns, delta
-		warm = (name ~ /dedup-cold|dedup-warm|respond-memo-warm|sequential-warm|sharded-warm|sparse-drift|structural-churn|TelemetryOverhead|TraceOverhead\/disabled/)
+		warm = (name ~ /dedup-cold|dedup-warm|respond-memo-warm|shards1-warm|sharded-warm|sparse-drift|structural-churn|TelemetryOverhead|TraceOverhead\/disabled/)
 		if (warm && delta > 25) {
 			printf "  FAIL: %s regressed %.1f%% (>25%% on a warm-round benchmark)\n", name, delta
 			failed = 1

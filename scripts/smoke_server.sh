@@ -7,7 +7,10 @@
 # strict -churn burst (every round advance preceded by an all-agent
 # fresh-weight drift, driving the batched cold design path) and a strict
 # structural-churn burst (agents joining and leaving mid-session via
-# -join-every / -leave-every), then exercises the durability contract:
+# -join-every / -leave-every) and a strict burst of designs, joins and
+# leaves against a synthetic -scale paper session (whose working range
+# differs from the inline session's, so loadgen's probe and joiner specs
+# must fit the session's partition), then exercises the durability contract:
 # a -journal-check burst records every acknowledged round client-side,
 # the daemon is killed with SIGKILL mid-life, restarted over the same
 # journal directory, and a second -journal-check run must find every
@@ -74,6 +77,9 @@ echo "running strict churn burst (all-cold design rounds)..."
 
 echo "running strict structural-churn burst (joins and leaves)..."
 "$work/loadgen" -addr "http://$addr" -clients 2 -requests 24 -round-every 6 -join-every 3 -leave-every 3 -strict
+
+echo "running strict paper-session burst (designs, joins, and leaves)..."
+"$work/loadgen" -addr "http://$addr" -scale paper -per-class 25 -clients 2 -requests 24 -round-every 6 -join-every 3 -leave-every 3 -strict
 
 echo "running journal-check burst (recording acknowledged rounds)..."
 "$work/loadgen" -addr "http://$addr" -clients 2 -requests 20 -round-every 2 -journal-check "$work/journal-check.json" -strict
